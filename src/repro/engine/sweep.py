@@ -380,6 +380,7 @@ def run_serial(
         if cached is not None:
             return _serve_cached_sweep(cached, cache0, 1, checkpoint_save)
 
+    t_ctx = time.perf_counter()
     ctx = model.build_context() if context is None else context
 
     verdicts = np.zeros(model.space_size(), dtype=np.uint8)
@@ -387,6 +388,7 @@ def run_serial(
     telem = CampaignTelemetry(
         n_candidates=int(candidates.size), jobs=1, backend=resolve_backend()
     )
+    telem.context_seconds = time.perf_counter() - t_ctx
     n_simulated = 0
 
     # Observability hooks.  Every emission below only *reads* campaign
@@ -602,9 +604,8 @@ def run_serial(
     telem.ff_cycles_skipped += kd[3]
     telem.cache_hits, telem.cache_misses, telem.cache_bytes = CACHE_STATS.delta(cache0)
     telem.wall_seconds = time.perf_counter() - t0
-    telem.prefilter_seconds = max(
-        0.0, telem.wall_seconds - telem.simulate_seconds - telem.checkpoint_seconds
-    )
+    timed = telem.context_seconds + telem.simulate_seconds + telem.checkpoint_seconds
+    telem.prefilter_seconds = max(0.0, telem.wall_seconds - timed)
     result.telemetry = telem
     if store is not None and sweep_key is not None:
         store.put(sweep_key, result)

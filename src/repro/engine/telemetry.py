@@ -69,6 +69,9 @@ class CampaignTelemetry:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bytes: int = 0
+    # Serial runs: golden context build (golden simulation, warm-state
+    # snapshot, address suffix), kept out of ``prefilter_seconds``.
+    context_seconds: float = 0.0
     prefilter_seconds: float = 0.0
     simulate_seconds: float = 0.0
     checkpoint_seconds: float = 0.0

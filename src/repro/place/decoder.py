@@ -25,6 +25,7 @@ HALF_LATCH node (hidden state the beam can flip but readback cannot see).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,7 +42,9 @@ from repro.fpga.resources import (
     FF_CE_INV,
     FF_INIT,
     FF_LATCH_MODE,
+    FF_RESERVED,
     FF_SR_EN,
+    WIRES_PER_DIRECTION,
     Direction,
     LocalSource,
     MUX_FIELD_BITS,
@@ -82,6 +85,54 @@ _INV_TABLE[14] = 1
 
 WireKey = tuple[int, int, int, int]  # (row, col, direction, index) — outgoing
 InKey = tuple[int, int, int, int]  # (row, col, side, index) — incoming view
+
+_PIP_KINDS = (ResourceKind.PIP_DRIVE, ResourceKind.PIP_STRAIGHT, ResourceKind.PIP_TURN)
+
+
+def _pip_wire(kind: ResourceKind, detail: tuple) -> tuple[int, int]:
+    """(direction, index) of the outgoing wire a PIP bit drives."""
+    if kind is ResourceKind.PIP_DRIVE:
+        return detail
+    if kind is ResourceKind.PIP_STRAIGHT:
+        return int(Direction(detail[0]).opposite), detail[1]
+    d_in, p, w = detail
+    return int(Direction(d_in).perpendicular[p]), w
+
+
+# Per-CLB flag columns read by the may-matter mask: LUT in the output
+# cone, FF in the cone, output port resolved onto a wire, outgoing wire
+# the golden design resolves or reads, and one column that is never set.
+_F_LUT, _F_FF, _F_PORT, _F_WIRE = 0, 4, 8, 12
+_F_NEVER = _F_WIRE + 4 * WIRES_PER_DIRECTION
+
+
+@cache
+def _intra_flag_columns() -> np.ndarray:
+    """(2, 864): an intra-CLB bit may matter iff either flag column is set.
+
+    The same in every CLB.  A bit can only patch the LUT/FF it
+    configures (inside the cone), the output port it selects (if some
+    wire carries it) or the wire its PIP drives (if anything reads it);
+    INIT and reserved FF bits, carry and reserved bits never patch.
+    """
+    cols = np.full((2, CLB_BITS_PER_CLB), _F_NEVER, dtype=np.intp)
+    for intra in range(CLB_BITS_PER_CLB):
+        kind, detail = classify_intra(intra)
+        if kind is ResourceKind.LUT_CONTENT:
+            cols[0, intra] = _F_LUT + detail[0]
+        elif kind is ResourceKind.LUT_INPUT_MUX:
+            lut, pin, _ = detail
+            cols[:, intra] = _F_LUT + lut, (_F_FF + lut if pin == 0 else _F_NEVER)
+        elif kind is ResourceKind.FF_CONFIG and detail[1] not in (FF_INIT, FF_RESERVED):
+            cols[0, intra] = _F_FF + detail[0]
+        elif kind is ResourceKind.CTRL_MUX:
+            cols[:, intra] = _F_FF + 2 * detail[0], _F_FF + 2 * detail[0] + 1
+        elif kind is ResourceKind.OUTPUT_MUX:
+            cols[0, intra] = _F_PORT + detail[0]
+        elif kind in _PIP_KINDS:
+            d, w = _pip_wire(kind, detail)
+            cols[0, intra] = _F_WIRE + d * WIRES_PER_DIRECTION + w
+    return cols
 
 
 @dataclass
@@ -785,66 +836,49 @@ class DecodedDesign:
     # the fault-injection fast path
     # ------------------------------------------------------------------
 
-    def _bit_may_matter(self, kind: ResourceKind, row: int, col: int, detail: tuple) -> bool:
-        """Cheap pre-screen: can this bit's resource reach the outputs?
+    @cached_property
+    def _may_matter(self) -> np.ndarray:
+        """Per configuration bit: can flipping it patch the output cone?
 
-        Saves the transient-resolution work for the vast majority of
-        bits, which sit in unused fabric.  PIP/port cases defer to their
-        consumer caches; everything else checks output-cone membership of
-        the directly affected LUT/FF rows.
+        False bits provably decode to no relevant patch: non-CLB bits,
+        bits of LUTs/FFs outside the output cone, INIT/reserved FF bits,
+        ports no wire carries and PIPs of wires nobody reads.  Built on
+        the first :meth:`patch_for_bit` from the golden caches by one
+        gather over the (CLB, intra) grid.
         """
-        d = self.design
-        if kind is ResourceKind.LUT_CONTENT:
-            lut, _ = detail
-            return bool(self._cone[d.lut_nodes[self.lut_row(row, col, lut)]])
-        if kind is ResourceKind.LUT_INPUT_MUX:
-            lut, pin, _ = detail
-            if self._cone[d.lut_nodes[self.lut_row(row, col, lut)]]:
-                return True
-            return pin == 0 and bool(self._cone[d.ff_nodes[self.ff_row(row, col, lut)]])
-        if kind is ResourceKind.FF_CONFIG:
-            ff, _ = detail
-            return bool(self._cone[d.ff_nodes[self.ff_row(row, col, ff)]])
-        if kind is ResourceKind.CTRL_MUX:
-            slc, _, _ = detail
-            return bool(
-                self._cone[d.ff_nodes[self.ff_row(row, col, 2 * slc)]]
-                or self._cone[d.ff_nodes[self.ff_row(row, col, 2 * slc + 1)]]
-            )
-        if kind is ResourceKind.OUTPUT_MUX:
-            port, _ = detail
-            return (row, col, port) in self.port_value
-        return True  # PIPs handle their own consumer check
+        nc, cols = self.device.n_clbs, self.device.cols
+        luts, ffs = self.first_lut_node, self.first_ff_node
+        flags = np.zeros((nc, _F_NEVER + 1), dtype=bool)
+        flags[:, _F_LUT:_F_FF] = self._cone[luts : luts + 4 * nc].reshape(nc, 4)
+        flags[:, _F_FF:_F_PORT] = self._cone[ffs : ffs + 4 * nc].reshape(nc, 4)
+        ports = np.array(list(self.port_value), dtype=np.intp).reshape(-1, 3)
+        flags[ports[:, 0] * cols + ports[:, 1], _F_PORT + ports[:, 2]] = True
+        wires = np.array([*self.wire_value, *self.wire_consumers], dtype=np.intp).reshape(-1, 4)
+        flags[
+            wires[:, 0] * cols + wires[:, 1],
+            _F_WIRE + wires[:, 2] * WIRES_PER_DIRECTION + wires[:, 3],
+        ] = True
+        mask = np.zeros(self.bits.bits.size, dtype=bool)
+        a, b = _intra_flag_columns()
+        mask[self._clb_matrix.reshape(nc, -1)] = flags[:, a] | flags[:, b]
+        return mask
 
     def patch_for_bit(self, linear_bit: int) -> Patch | None:
         """Hardware difference caused by flipping one configuration bit.
 
         Returns ``None`` when the flip provably does not alter the
-        decoded hardware (reserved/overhead bits, INIT bits under the
-        no-reset injection protocol, changes outside any consumer).  The
-        golden bitstream is restored before returning.
+        decoded hardware inside the output cone (reserved/overhead bits,
+        INIT bits under the no-reset injection protocol, changes outside
+        any consumer); :attr:`_may_matter` settles those without a
+        decode.  The golden bitstream is restored before returning.
         """
-        frame, off = self.bits.locate(linear_bit)
-        loc = self.device.classify_bit(frame, off)
-        kind = loc.kind
-        if kind in (
-            ResourceKind.COLUMN_OVERHEAD,
-            ResourceKind.CLOCK_CONFIG,
-            ResourceKind.IOB_CONFIG,
-            ResourceKind.BRAM_CONTENT,
-            ResourceKind.BRAM_INTERCONNECT,
-            ResourceKind.CARRY,
-            ResourceKind.RESERVED,
-            ResourceKind.PIP_RESERVED,
-        ):
+        mask = self._may_matter
+        if 0 <= linear_bit < mask.size and not mask[linear_bit]:
             return None
-
-        row, col = loc.row, loc.col
-        if not self._bit_may_matter(kind, row, col, loc.detail):
-            return None
+        loc = self.device.classify_bit(*self.bits.locate(linear_bit))
         self.bits.bits[linear_bit] ^= 1
         try:
-            return self._patch_clb_bit(row, col, kind, loc.detail)
+            return self._patch_clb_bit(loc.row, loc.col, loc.kind, loc.detail)
         finally:
             self.bits.bits[linear_bit] ^= 1
 
@@ -967,24 +1001,8 @@ class DecodedDesign:
                 self._propagate_wire_change(seeds, overlay, patch, spare_cursor)
             # A port nobody drives onto a wire has no consumers: no patch.
 
-        elif kind in (
-            ResourceKind.PIP_DRIVE,
-            ResourceKind.PIP_STRAIGHT,
-            ResourceKind.PIP_TURN,
-        ):
-            if kind is ResourceKind.PIP_DRIVE:
-                d, w = detail
-                wkey: WireKey = (row, col, d, w)
-            elif kind is ResourceKind.PIP_STRAIGHT:
-                d_in, w = detail
-                wkey = (row, col, int(Direction(d_in).opposite), w)
-            else:
-                d_in, p, w = detail
-                wkey = (row, col, int(Direction(d_in).perpendicular[p]), w)
-            if wkey not in self.wire_value and wkey not in self.wire_consumers:
-                # Nobody reads this wire in the golden design: turning it
-                # on/off feeds nothing.
-                return None
+        elif kind in _PIP_KINDS:
+            wkey: WireKey = (row, col, *_pip_wire(kind, detail))
             nv = self._transient_wire(wkey, overlay)
             nv = self._materialize(nv, overlay, patch, spare_cursor)
             if nv != self.wire_value.get(wkey):

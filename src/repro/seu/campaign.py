@@ -37,7 +37,6 @@ import enum
 import json
 import os
 import pickle
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -430,16 +429,6 @@ def batch_active_mask(design, patches: list[Patch]) -> np.ndarray:
             if not mask[s]:
                 stack.append(s)
     return mask
-
-
-def _batch_active_mask(design, patches: list[Patch]) -> np.ndarray:
-    """Deprecated alias of :func:`batch_active_mask`."""
-    warnings.warn(
-        "_batch_active_mask is deprecated; use batch_active_mask",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return batch_active_mask(design, patches)
 
 
 #: device name -> {(frame, offset) -> ResourceKind}; bit classification

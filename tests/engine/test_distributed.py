@@ -184,21 +184,26 @@ class TestElasticMembership:
         assert telem.worker_tasks.get("w0", 0) >= 1
 
     def test_sigkilled_worker_shard_requeued(self, kill_leftovers):
-        ex = ShardExecutor(4, _tcp_policy(min_workers=2, max_attempts=4))
+        workers: list[subprocess.Popen] = []
+        # Start the kill clock once both workers have joined: timed from
+        # spawn, a slow-starting victim could die before joining and the
+        # run would wait out min_workers instead of requeueing.
+        timer = threading.Timer(0.5, lambda: workers[0].send_signal(signal.SIGKILL))
+
+        def on_workers(phase, census):
+            if census == {"w0", "w1"} and timer.ident is None:  # not yet started
+                timer.start()
+
+        ex = ShardExecutor(
+            4, _tcp_policy(min_workers=2, max_attempts=4, on_workers=on_workers)
+        )
         telem = CampaignTelemetry()
         try:
-            workers = [
+            workers.extend(
                 _spawn_worker(ex.backend.address, f"w{i}") for i in range(2)
-            ]
+            )
             kill_leftovers.extend(workers)
-            victim = workers[0]
             tasks = [TaskSpec(f"t:{i}", time.sleep, (0.3,)) for i in range(10)]
-
-            def kill_victim():
-                victim.send_signal(signal.SIGKILL)
-
-            timer = threading.Timer(1.0, kill_victim)
-            timer.start()
             try:
                 out = dict(ex.run(tasks, phase="drain", telemetry=telem))
             finally:

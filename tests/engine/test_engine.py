@@ -252,6 +252,7 @@ class TestPersistence:
         assert_identical(loaded, serial_result)
         t = loaded.telemetry
         assert t is not None and t.n_candidates == 200
+        assert t.context_seconds == serial_result.telemetry.context_seconds
 
     def test_round_trip_payloads(self, tmp_path):
         result = run_serial(PayloadModel(), batch_size=16)

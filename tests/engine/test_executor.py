@@ -227,7 +227,12 @@ class TestShardExecutorProcessPool:
 
     def test_flaky_worker_retries_to_success(self, tmp_path):
         telem = CampaignTelemetry()
-        policy = ExecutorPolicy(max_attempts=3, backoff_base_s=0.01, backoff_cap_s=0.05)
+        # No speculation: on a loaded host t:0 can straggle past 4x the
+        # median of the others, and a speculative duplicate that wins
+        # before the original's failure arrives leaves no retry to count.
+        policy = ExecutorPolicy(
+            max_attempts=3, backoff_base_s=0.01, backoff_cap_s=0.05, speculate=False
+        )
         ex = ShardExecutor(2, policy)
         try:
             tasks = [

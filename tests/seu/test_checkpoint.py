@@ -62,6 +62,15 @@ class TestSaveLoad:
         assert back.by_kind == full_result.by_kind
         assert back.n_simulated == full_result.n_simulated
 
+    def test_context_build_timed_apart_from_prefilter(self, full_result, tmp_path):
+        t = full_result.telemetry
+        assert t.context_seconds > 0
+        parts = t.context_seconds + t.prefilter_seconds + t.simulate_seconds
+        assert parts + t.checkpoint_seconds <= t.wall_seconds * (1 + 1e-9)
+        path = str(tmp_path / "result.npz")
+        save_result(full_result, path)
+        assert load_result(path).telemetry.context_seconds == t.context_seconds
+
     def test_load_missing_file_raises_campaign_error(self, tmp_path):
         with pytest.raises(CampaignError):
             load_result(str(tmp_path / "nope.npz"))

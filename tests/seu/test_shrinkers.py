@@ -22,7 +22,6 @@ from repro.seu import (
     run_halflatch_sweep,
     run_multibit_campaign,
 )
-from repro.seu.campaign import _batch_active_mask, batch_active_mask
 from tests.utils.goldens import assert_golden_verdicts
 
 CFG = CampaignConfig(detect_cycles=48, persist_cycles=32, stride=7, batch_size=32)
@@ -92,18 +91,6 @@ class TestBistCoverageFlags:
         off = run_coverage(s8, faults, cycles=96, collapse=False, retire=False)
         assert base.detected_by == off.detected_by
         assert base.undetected == off.undetected
-
-
-class TestDeprecatedAlias:
-    def test_batch_active_mask_alias_warns_and_delegates(self, mult_hw):
-        from repro.netlist.compiled import Patch
-
-        design = mult_hw.decoded.design
-        patches = [Patch(lut_tables=[(0, np.zeros(16, dtype=np.uint8))]), Patch()]
-        with pytest.warns(DeprecationWarning, match="batch_active_mask"):
-            old = _batch_active_mask(design, patches)
-        new = batch_active_mask(design, patches)
-        assert np.array_equal(old, new)
 
 
 class TestObservabilityInvariance:
